@@ -57,9 +57,12 @@ stress:
 # The cross-process shared-memory integration suite, race-detector on.
 # The tests carry a linux build tag; on other platforms the packages
 # compile against the stub surface and the run reports no tests — a
-# graceful skip, not a failure.
+# graceful skip, not a failure. The doorbell ring's own suite runs at
+# GOMAXPROCS 1 and 2, covering both the poll → yield → park ladder and
+# the single-CPU yield → park one.
 shmtest:
 	$(GO) test -race -count=1 -run 'TestShm' ./internal/faultinject/ .
+	$(GO) test -race -count=1 -cpu 1,2 ./internal/shmring
 
 # The high-availability suite: replicated-registry fault schedules
 # (kill-leader, partition, rolling restart, lease expiry, the mesh
@@ -84,7 +87,8 @@ brokertest:
 chaintest:
 	$(GO) test -race -count=1 -run 'TestChain|TestShmChain|TestBrokerChain' ./internal/faultinject/ .
 
-# Native Go fuzzing over the wire parsers (net_fuzz_test.go). Short
+# Native Go fuzzing over the wire parsers (net_fuzz_test.go and the
+# broker, chain and shm bulk-descriptor targets). Short
 # budgets so it's usable as a pre-commit smoke test; raise FUZZTIME for a
 # real session.
 FUZZTIME ?= 10s
@@ -93,6 +97,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadFrame$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseBrokerControl$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParseChain$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzBulkDesc$$' -fuzztime $(FUZZTIME) .
 
 # Full benchmark sweep with allocation counts (the wall-clock Null path
 # must report 0 allocs/op), then the multiprocessor throughput rig into a

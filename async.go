@@ -452,9 +452,10 @@ type batchEnt struct {
 //	for i := 0; i < n; i++ { res, err := bt.Result(i); ... }
 //	bt.Reset()
 type Batch struct {
-	be    batchBackend
-	ents  []batchEnt
-	stats *atomic.Uint64 // per-client batch counter, may be nil
+	be        batchBackend
+	ents      []batchEnt
+	stats     *atomic.Uint64 // per-client batch counter, may be nil
+	unflushed int            // entries staged since the last Flush
 }
 
 // NewBatch builds a submission batch over the in-process plane: Flush
@@ -477,6 +478,7 @@ func (bt *Batch) Call(proc int, args []byte) (*Future, error) {
 		return nil, err
 	}
 	bt.ents = append(bt.ents, e)
+	bt.unflushed++
 	return f, nil
 }
 
@@ -489,6 +491,7 @@ func (bt *Batch) OneWay(proc int, args []byte) error {
 		return err
 	}
 	bt.ents = append(bt.ents, e)
+	bt.unflushed++
 	return nil
 }
 
@@ -526,11 +529,13 @@ func (bt *Batch) Then(f *Future, proc int) (*Future, error) {
 
 // Flush submits everything staged since the last flush with one
 // doorbell: one futex bump on shm, one coalesced write on TCP, one
-// dispatch pass in-process.
+// dispatch pass in-process. Only a flush with something staged counts
+// as a batch, so Wait after an explicit Flush is still one batch.
 func (bt *Batch) Flush() error {
-	if bt.stats != nil {
+	if bt.stats != nil && bt.unflushed > 0 {
 		bt.stats.Add(1)
 	}
+	bt.unflushed = 0
 	return bt.be.flush()
 }
 

@@ -98,6 +98,22 @@ func TestShmBatchSingleDoorbell(t *testing.T) {
 	}
 }
 
+// TestShmBatchFlushThenWaitCountsOnce pins the batch accounting: an
+// explicit Flush followed by Wait submits 64 calls once, and the empty
+// flush inside Wait is not counted as a second batch.
+func TestShmBatchFlushThenWaitCountsOnce(t *testing.T) {
+	_, sock, _ := startShm(t, shmTestIface("Shm", nil), ShmServeOptions{Workers: 2})
+	c, err := DialShmOpts(sock, "Shm", ShmDialOptions{Slots: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	flushThenWait64(t, c.NewBatch(), 0)
+	if st := c.Stats(); st.Batches != 1 || st.BatchedCalls != 64 {
+		t.Fatalf("Batches = %d, BatchedCalls = %d; want 1 and 64", st.Batches, st.BatchedCalls)
+	}
+}
+
 func TestShmBatchThen(t *testing.T) {
 	_, sock, _ := startShm(t, shmTestIface("Shm", nil), ShmServeOptions{Workers: 2})
 	c, err := DialShmOpts(sock, "Shm", ShmDialOptions{Slots: 4})

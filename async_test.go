@@ -434,6 +434,44 @@ func TestNetBatchCoalesces(t *testing.T) {
 	}
 }
 
+// flushThenWait64 stages 64 calls to the Echo procedure numbered echo,
+// flushes them explicitly, then collects and checks them with Wait.
+func flushThenWait64(t *testing.T, bt *Batch, echo int) {
+	t.Helper()
+	for i := 0; i < 64; i++ {
+		if _, err := bt.Call(echo, []byte{byte(i)}); err != nil {
+			t.Fatalf("stage %d: %v", i, err)
+		}
+	}
+	if err := bt.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := bt.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if out, err := bt.Result(i); err != nil || len(out) != 1 || out[0] != byte(i) {
+			t.Fatalf("entry %d = %v, %v", i, out, err)
+		}
+	}
+}
+
+// TestNetBatchFlushThenWaitCountsOnce is the TCP half of the batch
+// accounting check: Flush then Wait of 64 calls is one batch.
+func TestNetBatchFlushThenWaitCountsOnce(t *testing.T) {
+	addr, _, stop := startAsyncNetServer(t)
+	defer stop()
+	c, err := DialInterface("tcp", addr, "Arith")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	flushThenWait64(t, c.NewBatch(), 1)
+	if st := c.Stats(); st.Batches != 1 || st.BatchedCalls != 64 {
+		t.Fatalf("Batches = %d, BatchedCalls = %d; want 1 and 64", st.Batches, st.BatchedCalls)
+	}
+}
+
 func TestNetOneWayAtMostOnce(t *testing.T) {
 	addr, exp, stop := startAsyncNetServer(t)
 	defer stop()

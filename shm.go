@@ -18,9 +18,16 @@ package lrpc
 //     lock-free ring entry naming the slot). No sockets, no frames, no
 //     kernel copy: the only data movement is the single argument copy in
 //     and the single result copy out.
-//   - Control transfer (§3.2, technique 1's trap analog): the doorbell
-//     write plus a bounded spin on the peer's side; when the peer is not
-//     spinning, a shared-futex wake replaces the trap into the kernel.
+//   - Control transfer (§3.2, technique 1's trap analog; §3.4's idle
+//     processors): the doorbell write, caught on the peer's side by a
+//     poll → yield → park ladder. On a multi-core host the waiting side
+//     first polls the ring or slot state with no system call for tens
+//     of microseconds — an idle processor spinning in the domain, so a
+//     call that lands there costs no context switch. Then, on any host,
+//     it spins with sched_yield (on one CPU this hands the processor
+//     straight to the peer process, and the poll phase is skipped), and
+//     finally parks, where a shared-futex wake replaces the trap into
+//     the kernel.
 //   - Termination/crash (§5.3): each side watches the handshake socket.
 //     EOF without a clean "bye" (plus a still-armed ring epoch) means
 //     the peer died: in-flight calls resolve ErrCallFailed, subsequent
@@ -257,6 +264,8 @@ type ShmServer struct {
 	segBytes       atomic.Int64
 	calls          atomic.Uint64
 	torn           atomic.Uint64
+	spinDoorbells  atomic.Uint64
+	parkDoorbells  atomic.Uint64
 	peerCrashes    atomic.Uint64
 	cleanDetaches  atomic.Uint64
 }
@@ -321,6 +330,8 @@ func (sv *ShmServer) Stats() ShmServerStats {
 		SegmentBytes:      sv.segBytes.Load(),
 		Calls:             sv.calls.Load(),
 		TornDoorbells:     sv.torn.Load(),
+		SpinDoorbells:     sv.spinDoorbells.Load(),
+		ParkDoorbells:     sv.parkDoorbells.Load(),
 		PeerCrashes:       sv.peerCrashes.Load(),
 		CleanDetaches:     sv.cleanDetaches.Load(),
 	}
@@ -625,15 +636,23 @@ func (ss *shmSession) teardown(clean bool) {
 	})
 }
 
-// worker pops doorbells and dispatches. The pop spins briefly (the
-// server "spinning on a shared variable" while the call is in flight),
-// then parks on the shared futex.
+// worker pops doorbells and dispatches. The pop runs the ring's wait
+// ladder: on a multi-core host one worker per session polls the ring
+// (the paper's idle processor spinning in the server domain) while the
+// others skip to the sched_yield spin, and every worker parks on the
+// shared futex past its spin budget. Each doorbell is counted as a hit
+// (taken before parking) or a miss (taken after a park).
 func (ss *shmSession) worker() {
 	defer ss.wg.Done()
 	for {
-		v, ok := ss.c2s.PopWait(ss.sv.opts.Spin, shmServerParkQuantum, ss.stop.Load)
+		v, parked, ok := ss.c2s.PopWait(ss.sv.opts.Spin, shmServerParkQuantum, ss.stop.Load)
 		if !ok {
 			return
+		}
+		if parked {
+			ss.sv.parkDoorbells.Add(1)
+		} else {
+			ss.sv.spinDoorbells.Add(1)
 		}
 		ss.dispatch(v)
 	}
@@ -729,7 +748,9 @@ func (ss *shmSession) dispatch(v uint64) {
 // field is hostile until proven in-bounds: run counts, page indices,
 // and totals are checked against the granted bulk region before any
 // segment slice is built — a forged descriptor must never hand a
-// handler bytes outside the bulk region.
+// handler bytes outside the bulk region. Runs a real client builds are
+// disjoint, so a total above the region can only come from runs that
+// repeat pages; it is refused before it can size the spill buffer.
 func (ss *shmSession) readBulkDesc(base int) (segs [][]byte, total int64, err error) {
 	if ss.lay.bulkBytes == 0 {
 		return nil, 0, errors.New("lrpc: shm bulk call on a session with no bulk region")
@@ -749,9 +770,13 @@ func (ss *shmSession) readBulkDesc(base int) (segs [][]byte, total int64, err er
 				"lrpc: shm bulk descriptor run [%d,+%d) outside the %d-page region",
 				start, count, npages)
 		}
+		total += int64(count) * bulkPageSize
+		if total > int64(ss.lay.bulkBytes) {
+			return nil, 0, fmt.Errorf(
+				"lrpc: shm bulk descriptor covers more than the %d-byte region", ss.lay.bulkBytes)
+		}
 		off := ss.lay.bulkOff + start*bulkPageSize
 		segs = append(segs, ss.seg[off:off+count*bulkPageSize])
-		total += int64(count) * bulkPageSize
 	}
 	return segs, total, nil
 }
@@ -953,6 +978,9 @@ type ShmClient struct {
 	// costs no wake syscall — the spin-regime fast path.
 	parked atomic.Int32
 	kick   chan struct{}
+
+	// replyPoll steers awaitReply's poll phase by its hits and misses.
+	replyPoll shmring.Poller
 
 	dead       chan struct{}
 	deadOnce   sync.Once
@@ -1435,15 +1463,28 @@ func (c *ShmClient) recycle(id uint32, state *atomic.Uint32) {
 	}
 }
 
-// awaitReply waits for slot id's reply: a bounded spin on the slot's
-// state (both domains run concurrently on distinct processors in the
-// best case; on a single processor the yields inside the spin hand the
-// CPU straight to the server domain), then a park on the per-slot
-// signal fed by the doorbell demultiplexer. A non-nil return has
-// already settled the caller's accounting: dead sessions release the
-// inflight reference here, timeouts hand the slot (and the inflight
-// reference) to an orphan watcher.
+// awaitReply waits for slot id's reply on the poll → yield → park
+// ladder. On a multi-core host it first polls the slot's state with no
+// system call for tens of microseconds: both domains run at once on
+// distinct processors, and a Null reply lands well inside that window
+// (a session whose replies keep outlasting it polls less, see
+// shmring.Poller). Next comes the Spin-bounded yield phase, which on a
+// single processor is the only spin and hands the CPU straight to the
+// server domain, and on several catches slower replies (bulk payloads,
+// long handlers) before the caller parks. Last, the caller parks on
+// the per-slot signal fed by the doorbell demultiplexer. Both spin
+// phases drain the reply ring as they go. A non-nil return has already
+// settled the caller's accounting: dead sessions release the inflight
+// reference here, timeouts hand the slot (and the inflight reference)
+// to an orphan watcher.
 func (c *ShmClient) awaitReply(ctx context.Context, id uint32, state *atomic.Uint32) error {
+	if c.replyPoll.Poll(func() bool {
+		c.drainReplies()
+		return state.Load() >= slotDoneOK
+	}) {
+		c.spinReplies.Add(1)
+		return nil
+	}
 	for i := 0; i < c.opts.Spin; i++ {
 		if st := state.Load(); st >= slotDoneOK {
 			c.spinReplies.Add(1)
@@ -1888,7 +1929,7 @@ func (c *ShmClient) demux() {
 			}
 			continue
 		}
-		v, ok := c.s2c.PopWait(16, shmClientParkQuantum, stop)
+		v, _, ok := c.s2c.PopWait(16, shmClientParkQuantum, stop)
 		if !ok {
 			return
 		}

@@ -33,8 +33,10 @@ type ShmDialOptions struct {
 	// session. The server grants min(requested, MaxBulkBytes), rounded
 	// up to whole 64 KiB pages — read the outcome from BulkBytes().
 	BulkBytes int64
-	// Spin bounds the reply-polling iterations before a caller parks on
-	// its slot's signal channel. 0 selects 64.
+	// Spin bounds the sched_yield iterations a caller spends on its
+	// reply before it parks on its slot's signal channel. On a
+	// multi-core host they follow a short syscall-free poll. 0 selects
+	// 64.
 	Spin int
 	// Tracer receives the client side's uncommon-case events
 	// (TraceShmBind, TraceShmPeerCrash). Optional.
@@ -85,8 +87,9 @@ type ShmServeOptions struct {
 	// shm analog of the paper's "as many threads as A-stacks" sizing,
 	// bounded because handlers run on the worker. 0 selects 2.
 	Workers int
-	// Spin bounds a worker's doorbell-polling iterations before it
-	// parks on the shared futex. 0 selects 64.
+	// Spin bounds a worker's sched_yield iterations on the doorbell
+	// ring before it parks on the shared futex. On a multi-core host
+	// they follow a short syscall-free poll. 0 selects 64.
 	Spin int
 	// Admit, when non-nil, decides at bind time whether a tenant may
 	// import an interface over this plane: it receives the tenant
@@ -130,6 +133,8 @@ type ShmServerStats struct {
 	SegmentBytes      int64  // bytes currently mapped across sessions
 	Calls             uint64 // dispatches completed (ok or error reply)
 	TornDoorbells     uint64 // doorbells discarded as torn/duplicated
+	SpinDoorbells     uint64 // doorbells a worker took before parking (idle-processor hits)
+	ParkDoorbells     uint64 // doorbells that woke a parked worker (idle-processor misses)
 	PeerCrashes       uint64 // sessions ended by peer death
 	CleanDetaches     uint64 // sessions ended by client Close
 }
@@ -140,7 +145,7 @@ type ShmClientStats struct {
 	Chains      uint64 // chain submissions (sync and async)
 	Failures    uint64 // calls resolved with an error
 	Timeouts    uint64 // calls abandoned at their deadline
-	SpinReplies uint64 // replies consumed within the spin window
+	SpinReplies uint64 // replies consumed before parking (poll or yield phase)
 	ParkReplies uint64 // replies that required parking
 	PeerCrashed bool   // the server process died under the session
 

@@ -92,6 +92,39 @@ func TestShmRoundTrip(t *testing.T) {
 	}
 }
 
+// TestShmDoorbellHitMissStats checks the server's idle-processor
+// accounting: every dispatched doorbell is counted once, as taken
+// before parking or after a park, and a call that arrives once every
+// worker has parked is a park.
+func TestShmDoorbellHitMissStats(t *testing.T) {
+	sv, sock, _ := startShm(t, shmTestIface("Shm", nil), ShmServeOptions{})
+	c, err := DialShm(sock, "Shm")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for i := 0; i < 50; i++ {
+		if _, err := c.Call(1, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Long enough for every worker to run out its poll and yield phases
+	// and park on the futex.
+	time.Sleep(20 * time.Millisecond)
+	parks := sv.Stats().ParkDoorbells
+	if _, err := c.Call(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	st := sv.Stats()
+	if st.SpinDoorbells+st.ParkDoorbells != st.Calls || st.Calls != 51 {
+		t.Fatalf("SpinDoorbells %d + ParkDoorbells %d, Calls %d; want a sum of 51",
+			st.SpinDoorbells, st.ParkDoorbells, st.Calls)
+	}
+	if st.ParkDoorbells != parks+1 {
+		t.Fatalf("call after an idle spell: ParkDoorbells %d -> %d, want one more", parks, st.ParkDoorbells)
+	}
+}
+
 func TestShmBindErrors(t *testing.T) {
 	_, sock, _ := startShm(t, shmTestIface("Shm", nil), ShmServeOptions{})
 	if _, err := DialShm(sock, "NoSuch"); !errors.Is(err, ErrNotExported) {
