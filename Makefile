@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: ci fmtcheck vet build test race stress shmtest haftest brokertest chaintest bench benchjson benchjson5 benchjson6 benchjson7 benchjson8 benchjson9 benchjson10 benchcheck fuzz staticcheck vulncheck
+.PHONY: ci fmtcheck vet crossvet build test race stress shmtest haftest brokertest chaintest bench benchjson benchjson5 benchjson6 benchjson7 benchjson8 benchjson9 benchjson10 benchcheck fuzz staticcheck vulncheck
 
 # Formatting, vet, static analysis, build, tests (plain and -race), then
 # the perf gates: the whole merge bar in one command. The gates check the
@@ -12,7 +12,7 @@ GO ?= go
 # BENCH_pr5.json against the shm-speedup floor (both deterministic);
 # regenerate the artifacts with `make benchjson benchjson5` (or the full
 # `make bench`) when the call path changes.
-ci: fmtcheck vet staticcheck vulncheck build test race shmtest haftest brokertest chaintest benchcheck
+ci: fmtcheck vet crossvet staticcheck vulncheck build test race shmtest haftest brokertest chaintest benchcheck
 
 # gofmt -l prints nonconforming files; any output is a failure.
 fmtcheck:
@@ -21,6 +21,11 @@ fmtcheck:
 
 vet:
 	$(GO) vet ./...
+
+# The shm plane is linux-only; vetting the tree as darwin type-checks the
+# stub surface (shm_stub.go) that every other platform compiles against.
+crossvet:
+	GOOS=darwin $(GO) vet ./...
 
 # staticcheck and govulncheck run when installed and are skipped (with a
 # notice) when not, so `make ci` works on a bare toolchain and tightens

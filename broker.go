@@ -567,7 +567,7 @@ type brokerStatsBlob struct {
 // --- broker ---
 
 // BrokerUpstream is a backend caller the broker relays admitted frames
-// through: *NetClient and *ReplicatedSupervisor both satisfy it, and
+// through: *NetClient and *Supervisor both satisfy it, and
 // LocalUpstream adapts an in-process Binding.
 type BrokerUpstream interface {
 	CallContext(ctx context.Context, proc int, args []byte) ([]byte, error)

@@ -19,8 +19,9 @@ package lrpc
 // carries the failing stage's index plus an executed-through vouch:
 // stages below Executed ran exactly once, stages at and above it
 // provably never ran. A chain that failed with Executed == 0 matches
-// ErrNotExecuted, so the failover layers (Supervise*, failover.go)
-// may replay it elsewhere without risking a double execution.
+// ErrNotExecuted, so a caller may replay it elsewhere without risking a
+// double execution. No supervisor carries chains today: BrokerSession
+// and TransparentBinding hand a chain to their transport once.
 //
 // Wire form (shared by the TCP frame and the shm slot descriptor, all
 // integers little-endian):

@@ -138,11 +138,11 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	fmt.Printf("client: 5 calls ok via %s (%s)\n",
-		sup.Endpoint(), labelOf(sup.Endpoint().Addr))
+	ep := sup.Stats().Endpoint
+	fmt.Printf("client: 5 calls ok via %s (%s)\n", ep, labelOf(ep.Addr))
 
 	// --- crash the bound server: full partition, renewals included ---
-	bound := labelOf(sup.Endpoint().Addr)
+	bound := labelOf(ep.Addr)
 	peers := []string{"client"}
 	for i := range addrs {
 		peers = append(peers, fmt.Sprintf("replica-%d", i))
@@ -153,8 +153,9 @@ func main() {
 	if err := call(); err != nil {
 		log.Fatalf("call after crash: %v", err)
 	}
+	ep = sup.Stats().Endpoint
 	fmt.Printf("client: failed over to %s (%s) in %v — same binding object, no restart\n",
-		sup.Endpoint(), labelOf(sup.Endpoint().Addr), time.Since(start).Round(time.Microsecond))
+		ep, labelOf(ep.Addr), time.Since(start).Round(time.Microsecond))
 
 	// --- kill the registry leader mid-stream ---
 	lead := -1

@@ -130,7 +130,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer sv.Close()
-	c := sv.Client()
+	c := sv.Binding().Shm()
 	fmt.Printf("bound: %d pairwise A-stack slots of %d bytes, shared with pid %d\n",
 		c.Slots(), c.SlotSize(), server1.Process.Pid)
 
@@ -174,5 +174,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("recovered onto server process %d: Sum = %d, rebinds = %d\n",
-		server2.Process.Pid, binary.LittleEndian.Uint64(res), sv.Rebinds())
+		server2.Process.Pid, binary.LittleEndian.Uint64(res), sv.Stats().Rebinds)
 }

@@ -155,10 +155,12 @@ func TestRetryFailedCallsNeverRetriesWrittenFrame(t *testing.T) {
 		DialTCP: func(addr string) (net.Conn, error) {
 			return c.part.Dial("client", labelOf(addr), addr)
 		},
-		RetryFailedCalls:     true, // even so: written frames stay dead
-		RebindAttempts:       20,
-		RebindBackoffInitial: 2 * time.Millisecond,
-		RebindBackoffMax:     20 * time.Millisecond,
+		SupervisorOpts: lrpc.SupervisorOpts{
+			RetryFailedCalls:     true, // even so: written frames stay dead
+			RebindAttempts:       20,
+			RebindBackoffInitial: 2 * time.Millisecond,
+			RebindBackoffMax:     20 * time.Millisecond,
+		},
 	}, c.addrs...)
 	if err != nil {
 		t.Fatalf("SuperviseReplicated: %v", err)

@@ -530,9 +530,11 @@ func TestHAMeshInvariant(t *testing.T) {
 		DialTCP: func(addr string) (net.Conn, error) {
 			return c.part.Dial("client", labelOf(addr), addr)
 		},
-		RebindAttempts:       60,
-		RebindBackoffInitial: 5 * time.Millisecond,
-		RebindBackoffMax:     100 * time.Millisecond,
+		SupervisorOpts: lrpc.SupervisorOpts{
+			RebindAttempts:       60,
+			RebindBackoffInitial: 5 * time.Millisecond,
+			RebindBackoffMax:     100 * time.Millisecond,
+		},
 	}, c.addrs...)
 	if err != nil {
 		t.Fatalf("SuperviseReplicated: %v", err)
@@ -560,7 +562,7 @@ func TestHAMeshInvariant(t *testing.T) {
 		}
 		if ok < minOK {
 			t.Fatalf("phase %s: only %d/%d calls succeeded (want >= %d); endpoint=%v",
-				phase, ok, calls, minOK, sup.Endpoint())
+				phase, ok, calls, minOK, sup.Stats().Endpoint)
 		}
 	}
 
@@ -569,7 +571,7 @@ func TestHAMeshInvariant(t *testing.T) {
 
 	// Phase 2: crash whichever server the client is bound to; calls must
 	// fail over to the survivor without double-executing anything.
-	bound := labelOf(sup.Endpoint().Addr)
+	bound := labelOf(sup.Stats().Endpoint.Addr)
 	crash(bound)
 	runPhase("server-crash", 60, 40)
 

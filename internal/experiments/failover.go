@@ -176,9 +176,11 @@ func Failover(seed int64) (res FailoverResult, err error) {
 		DialTCP: func(addr string) (net.Conn, error) {
 			return part.Dial("client", labelOf(addr), addr)
 		},
-		RebindAttempts:       60,
-		RebindBackoffInitial: 2 * time.Millisecond,
-		RebindBackoffMax:     50 * time.Millisecond,
+		SupervisorOpts: lrpc.SupervisorOpts{
+			RebindAttempts:       60,
+			RebindBackoffInitial: 2 * time.Millisecond,
+			RebindBackoffMax:     50 * time.Millisecond,
+		},
 	}, addrs...)
 	if err != nil {
 		return res, err
@@ -206,7 +208,7 @@ func Failover(seed int64) (res FailoverResult, err error) {
 	// Server crash: full partition of the bound server, then time how
 	// long the data path stalls before the first reply from the other
 	// provider.
-	bound := labelOf(sup.Endpoint().Addr)
+	bound := labelOf(sup.Stats().Endpoint.Addr)
 	meshPeers := []string{"client"}
 	for i := range addrs {
 		meshPeers = append(meshPeers, fmt.Sprintf("replica-%d", i))

@@ -70,7 +70,6 @@ func runSuperviseTerminate(t *testing.T, seed int64) {
 		RebindBackoffInitial: 100 * time.Microsecond,
 		RebindBackoffMax:     time.Millisecond,
 		ProbeInterval:        -1,
-		ReapInterval:         -1,
 	})
 	if err != nil {
 		t.Fatal(err)

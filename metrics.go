@@ -74,8 +74,8 @@ const (
 	// TraceBreakerClose: a half-open probe succeeded and the breaker
 	// closed again.
 	TraceBreakerClose
-	// TraceRebind: a Supervisor re-imported after its binding was
-	// revoked.
+	// TraceRebind: a Supervisor replaced a revoked or dead binding.
+	// Proc is the new registry endpoint under SuperviseReplicated.
 	TraceRebind
 	// TraceReap: the orphan reaper closed the books on an abandoned
 	// activation that has since returned.
@@ -103,8 +103,7 @@ const (
 	// through the replicated log.
 	TraceLeaseExpire
 	// TraceFailover: a replicated supervisor abandoned one endpoint and
-	// re-imported through another (failover.go); Err carries the failure
-	// that triggered it.
+	// bound through another (failover.go); Proc is the new endpoint.
 	TraceFailover
 	// TraceOneWayDrop: a one-way (fire-and-forget) call failed in
 	// execution and the error was discarded — nobody is waiting for a

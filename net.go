@@ -1139,8 +1139,8 @@ func (c *NetClient) CallChain(ch *Chain) ([]byte, error) {
 // CallChainContext is CallChain under a context. A mid-chain failure
 // surfaces as a *ChainError carrying the failing stage's index and the
 // server's executed-through vouch; errors.Is(err, ErrNotExecuted) holds
-// exactly when the server vouches no stage ran, so Supervise* failover
-// classification stays exact per stage.
+// exactly when the server vouches no stage ran, so the at-most-once
+// classification (replaySafe) stays exact per stage.
 func (c *NetClient) CallChainContext(ctx context.Context, ch *Chain) ([]byte, error) {
 	if err := ch.check(); err != nil {
 		return nil, err
@@ -1549,6 +1549,9 @@ type TransparentBinding struct {
 	local  *Binding
 	shm    *ShmClient
 	remote *NetClient
+
+	ep        Endpoint    // registry endpoint it was bound from (SuperviseReplicated)
+	condemned atomic.Bool // a Supervisor saw it revoked or its domain fail
 }
 
 // BindLocal wraps a local binding.
@@ -1566,6 +1569,10 @@ func (tb *TransparentBinding) Remote() bool { return tb.remote != nil }
 // SameMachine reports whether calls cross a process boundary but stay
 // on this machine (the shared-memory plane).
 func (tb *TransparentBinding) SameMachine() bool { return tb.shm != nil }
+
+// Shm returns the shared-memory session behind the binding, or nil on
+// another plane.
+func (tb *TransparentBinding) Shm() *ShmClient { return tb.shm }
 
 // Call invokes the procedure on whichever plane the binding points at.
 func (tb *TransparentBinding) Call(proc int, args []byte) ([]byte, error) {

@@ -24,8 +24,8 @@ package lrpc
 //     reads.
 //
 // The client side — leader-following RegistryClient, lease-renewing
-// Announcement, and the multi-endpoint SuperviseReplicated failover
-// supervisor — lives in registry_client.go and failover.go.
+// Announcement, and the multi-endpoint SuperviseReplicated resolver —
+// lives in registry_client.go and failover.go.
 
 import (
 	"encoding/binary"

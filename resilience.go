@@ -14,10 +14,11 @@ package lrpc
 //     NetClient wiring): closed → open on consecutive redial/send
 //     failures, half-open after a capped cooldown with a single probe
 //     call, so callers fail fast instead of queueing behind a dead peer;
-//   - a supervisor that owns a binding, health-probes it, and
-//     transparently re-imports after ErrRevoked — the paper's "bindings
-//     are revoked on domain termination" made survivable by automatic
-//     client recovery;
+//   - the Supervisor, which owns a binding on any plane, health-probes
+//     it, and transparently binds again after ErrRevoked or a dead
+//     transport — the paper's "bindings are revoked on domain
+//     termination" made survivable by automatic client recovery, with
+//     the at-most-once replay rule in one place (replaySafe);
 //   - an orphan-activation reaper accounting for abandoned activations
 //     (deadline-abandoned calls whose handlers are still running, possibly
 //     inside terminated exports) until they actually return.
@@ -54,7 +55,8 @@ var (
 	// recovers.
 	ErrBreakerOpen = errors.New("lrpc: circuit breaker open (peer unavailable)")
 
-	// ErrSupervisorClosed reports a call through a closed Supervisor.
+	// ErrSupervisorClosed reports a call through a closed Supervisor, or
+	// one that was waiting on its rebind when it closed.
 	ErrSupervisorClosed = errors.New("lrpc: supervisor closed")
 )
 
@@ -400,288 +402,394 @@ func (br *breaker) failure(now time.Time) (openedNow bool) {
 
 // --- Supervisor: automatic client recovery across domain termination ---
 
-// SupervisorOpts tunes Supervise. The zero value selects defaults.
+// SupervisorOpts tunes a Supervisor. Zero fields select the
+// constructor's defaults.
 type SupervisorOpts struct {
-	// RebindAttempts bounds the import retries of one recovery round
+	// RebindAttempts bounds the resolve attempts of one recovery round
 	// (and the call retries across rounds). 0 selects 20.
 	RebindAttempts int
 	// RebindBackoffInitial/Max shape the capped exponential backoff
-	// between import attempts. Zero values select 1ms and 100ms.
+	// between resolve attempts. Zero values select 1ms and 100ms (5ms
+	// and 250ms for SuperviseReplicated).
 	RebindBackoffInitial time.Duration
 	RebindBackoffMax     time.Duration
 	// ProbeInterval is the health-probe period: the supervisor checks
-	// its binding and rebinds proactively when it finds it revoked, so
-	// recovery usually completes before the next call arrives. 0 selects
-	// 50ms; negative disables the background prober (calls still recover
-	// on demand).
+	// its binding and rebinds proactively when it finds it dead, so
+	// recovery usually completes before the next call arrives. While the
+	// binding is in-process each probe also reaps orphaned activations
+	// (System.ReapOrphans). 0 selects 50ms (100ms for
+	// SuperviseReplicated); negative disables the prober (calls still
+	// recover on demand).
 	ProbeInterval time.Duration
-	// ReapInterval is the orphan-reaper period (System.ReapOrphans on
-	// the supervised system). 0 selects the probe interval; negative
-	// disables the background reaper.
-	ReapInterval time.Duration
-	// RetryFailedCalls also retries calls that resolved ErrCallFailed —
+	// RetryFailedCalls also replays calls that resolved ErrCallFailed —
 	// the handler may have executed, so enable this only for idempotent
-	// interfaces. ErrRevoked calls (which never reached a handler) are
-	// always retried.
+	// interfaces. Calls that provably never ran are always replayed.
 	RetryFailedCalls bool
 }
 
-func (o *SupervisorOpts) fill() {
+func (o *SupervisorOpts) fill(backoff, backoffMax, probe time.Duration) {
 	if o.RebindAttempts <= 0 {
 		o.RebindAttempts = 20
 	}
 	if o.RebindBackoffInitial <= 0 {
-		o.RebindBackoffInitial = time.Millisecond
+		o.RebindBackoffInitial = backoff
 	}
 	if o.RebindBackoffMax <= 0 {
-		o.RebindBackoffMax = 100 * time.Millisecond
+		o.RebindBackoffMax = backoffMax
 	}
 	if o.ProbeInterval == 0 {
-		o.ProbeInterval = 50 * time.Millisecond
-	}
-	if o.ReapInterval == 0 {
-		o.ReapInterval = o.ProbeInterval
+		o.ProbeInterval = probe
 	}
 }
 
-// Supervisor owns a binding on the caller's behalf: calls go through the
-// current binding, and when the server domain terminates (ErrRevoked)
-// the supervisor re-imports — with backoff, single-flight across
-// concurrent callers — and retries, reproducing the paper's revocation
-// semantics with automatic recovery. A background prober rebinds ahead
-// of demand and a background reaper accounts for orphaned activations.
-type Supervisor struct {
-	importFn func() (*Binding, error)
-	opts     SupervisorOpts
-	sys      *System
+// SupervisorStats snapshots a supervisor's recovery counters.
+type SupervisorStats struct {
+	Resolves  uint64   // resolver runs: imports, dials or registry lookups
+	Rebinds   uint64   // times the binding was replaced
+	Failovers uint64   // rebinds that landed on a different registry endpoint
+	Endpoint  Endpoint // registry endpoint bound now (zero unless SuperviseReplicated)
+}
 
-	cur     atomic.Pointer[Binding]
-	rebinds atomic.Uint64
+// Supervisor owns a binding on the caller's behalf, the paper's clerk
+// made survivable: calls go through the current binding, and when its
+// server domain terminates or its transport dies the supervisor binds
+// again — with backoff, single-flight across concurrent callers — and
+// replays the call when it provably never ran (replaySafe). A
+// background prober rebinds ahead of demand. Supervise, SuperviseShm
+// and SuperviseReplicated differ only in how they resolve a binding.
+// Safe for concurrent use.
+type Supervisor struct {
+	// resolve returns a fresh binding to replace stale (nil on the first
+	// bind).
+	resolve func(stale *TransparentBinding) (*TransparentBinding, error)
+	opts    SupervisorOpts
+	name    string       // service name in trace events (SuperviseReplicated)
+	tracer  Tracer       // when nil, events go to an in-process binding's System
+	release func() error // closes what the resolver holds (a registry client)
+
+	cur       atomic.Pointer[TransparentBinding]
+	resolves  atomic.Uint64
+	rebinds   atomic.Uint64
+	failovers atomic.Uint64
 
 	mu         sync.Mutex
-	rebinding  bool
-	rebindDone chan struct{}
-	rebindErr  error
+	rebindDone chan struct{} // closes when the recovery in flight ends; nil when idle
+	rebindErr  error         // the outcome of the last recovery
 	closed     bool
-
-	closeCh chan struct{}
+	closeCh    chan struct{}
 }
 
-// Supervise imports eagerly through importFn and returns a supervisor
-// owning the resulting binding. importFn is re-run (with backoff) after
-// every revocation; it must be safe for concurrent use with the calls.
-func Supervise(importFn func() (*Binding, error), opts SupervisorOpts) (*Supervisor, error) {
-	if importFn == nil {
-		return nil, errors.New("lrpc: Supervise requires an import function")
-	}
-	opts.fill()
-	b, err := importFn()
-	if err != nil {
+// supervise binds s through its resolver, giving the first bind
+// attempts tries under the backoff, and starts the prober.
+func supervise(s *Supervisor, attempts int) (*Supervisor, error) {
+	s.closeCh = make(chan struct{})
+	if err := s.bind(nil, attempts); err != nil {
 		return nil, err
 	}
-	s := &Supervisor{importFn: importFn, opts: opts, sys: b.sys, closeCh: make(chan struct{})}
-	s.cur.Store(b)
-	if opts.ProbeInterval > 0 || opts.ReapInterval > 0 {
-		go s.background()
+	if s.opts.ProbeInterval > 0 {
+		go s.probe()
 	}
 	return s, nil
 }
 
-// Binding returns the supervisor's current binding (which may be revoked
-// if a rebind is in progress).
-func (s *Supervisor) Binding() *Binding { return s.cur.Load() }
+// Supervise imports through importFn and returns a supervisor owning the
+// resulting binding. importFn is re-run (with backoff) after every
+// revocation; it must be safe for concurrent use with the calls. The
+// first import is tried once: its error is returned as is.
+func Supervise(importFn func() (*Binding, error), opts SupervisorOpts) (*Supervisor, error) {
+	if importFn == nil {
+		return nil, errors.New("lrpc: Supervise requires an import function")
+	}
+	opts.fill(time.Millisecond, 100*time.Millisecond, 50*time.Millisecond)
+	return supervise(&Supervisor{opts: opts, resolve: func(*TransparentBinding) (*TransparentBinding, error) {
+		b, err := importFn()
+		switch {
+		case err != nil:
+			return nil, err
+		case b == nil:
+			return nil, ErrNotExported
+		case b.Revoked():
+			// Import raced a termination and handed back an
+			// already-revoked binding; a miss like any other.
+			return nil, ErrRevoked
+		}
+		return BindLocal(b), nil
+	}}, 1)
+}
 
-// Rebinds returns how many times the supervisor re-imported.
-func (s *Supervisor) Rebinds() uint64 { return s.rebinds.Load() }
+// SuperviseShm dials the first session and supervises it: dial is re-run
+// with backoff whenever the session dies or its binding is revoked
+// (server restart, export termination, peer crash). The first dial is
+// tried once; where the shm plane is unsupported, dial — DialShm — fails
+// and so does SuperviseShm.
+func SuperviseShm(dial func() (*ShmClient, error), opts SupervisorOpts) (*Supervisor, error) {
+	opts.fill(time.Millisecond, 100*time.Millisecond, 50*time.Millisecond)
+	return supervise(&Supervisor{opts: opts, resolve: func(*TransparentBinding) (*TransparentBinding, error) {
+		c, err := dial()
+		if err != nil {
+			return nil, err
+		}
+		return BindShm(c), nil
+	}}, 1)
+}
 
-// Close stops the supervisor's background goroutine and fails subsequent
-// calls with ErrSupervisorClosed. The current binding is left intact.
-func (s *Supervisor) Close() {
+// Binding returns the current binding: nil after Close, and possibly a
+// dead one while a rebind is in flight.
+func (s *Supervisor) Binding() *TransparentBinding { return s.cur.Load() }
+
+// Stats snapshots the recovery counters and the bound endpoint.
+func (s *Supervisor) Stats() SupervisorStats {
+	st := SupervisorStats{
+		Resolves:  s.resolves.Load(),
+		Rebinds:   s.rebinds.Load(),
+		Failovers: s.failovers.Load(),
+	}
+	if tb := s.cur.Load(); tb != nil {
+		st.Endpoint = tb.ep
+	}
+	return st
+}
+
+// Close stops the prober, fails waiting and later calls with
+// ErrSupervisorClosed, and releases the current binding's transport (an
+// in-process binding holds none). It does not wait out a resolve in
+// flight: a binding that resolve yields is closed unused.
+func (s *Supervisor) Close() error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return
+		return nil
 	}
 	s.closed = true
-	s.mu.Unlock()
 	close(s.closeCh)
+	s.mu.Unlock()
+	err := s.cur.Swap(nil).Close() // bound since the constructor returned
+	if s.release != nil {
+		err = errors.Join(err, s.release())
+	}
+	return err
 }
 
 // Call invokes the procedure through the current binding, recovering
 // across domain termination.
 func (s *Supervisor) Call(proc int, args []byte) ([]byte, error) {
-	return s.callPrio(context.Background(), proc, args, PriorityNormal)
+	return s.CallContext(context.Background(), proc, args)
 }
 
-// CallContext is Call under a context.
+// CallContext is Call under a context: the deadline bounds the call and
+// any wait on a rebind.
 func (s *Supervisor) CallContext(ctx context.Context, proc int, args []byte) ([]byte, error) {
-	return s.callPrio(ctx, proc, args, PriorityNormal)
-}
-
-// CallWithOpts is Call with per-call options (deadline, priority).
-func (s *Supervisor) CallWithOpts(proc int, args []byte, opts CallOpts) ([]byte, error) {
-	if opts.Deadline.IsZero() {
-		return s.callPrio(context.Background(), proc, args, opts.Priority)
-	}
-	ctx, cancel := context.WithDeadline(context.Background(), opts.Deadline)
-	defer cancel()
-	return s.callPrio(ctx, proc, args, opts.Priority)
-}
-
-func (s *Supervisor) callPrio(ctx context.Context, proc int, args []byte, prio Priority) ([]byte, error) {
-	var lastErr error
+	lastErr := ErrRevoked // every binding this call found was dead
 	for attempt := 0; attempt <= s.opts.RebindAttempts; attempt++ {
-		select {
-		case <-s.closeCh:
-			return nil, ErrSupervisorClosed
-		default:
-		}
-		b := s.cur.Load()
-		if b == nil || b.Revoked() {
-			if err := s.rebind(ctx, b); err != nil {
+		tb := s.cur.Load()
+		if !tb.dead() {
+			res, err := tb.CallContext(ctx, proc, args)
+			if err == nil {
+				return res, nil
+			}
+			lastErr = err
+			if errors.Is(err, ErrRevoked) || errors.Is(err, ErrCallFailed) {
+				// The domain behind the binding is gone, or presumed
+				// so: a revoked binding never carries a call again.
+				tb.condemned.Store(true)
+			}
+			if tb.sole() {
+				return nil, err // nowhere else to send it: the refusal stands
+			}
+			if !replaySafe(err, s.opts.RetryFailedCalls) {
+				if errors.Is(err, ErrCallFailed) || errors.Is(err, ErrCallTimeout) || errors.Is(err, ErrConnClosed) {
+					// The call may have run, so it is not re-sent;
+					// recover in the background so the next call
+					// finds a live binding.
+					go func() { _ = s.rebind(context.Background(), tb) }()
+				}
 				return nil, err
 			}
-			continue
 		}
-		res, err := b.callContextPrio(ctx, proc, args, prio)
-		if err == nil {
-			return res, nil
-		}
-		lastErr = err
-		switch {
-		case errors.Is(err, ErrRevoked):
-			// The call never reached a handler: always safe to retry
-			// over a fresh binding.
-		case errors.Is(err, ErrCallFailed) && s.opts.RetryFailedCalls:
-			// The handler may have run; the caller opted into re-execution.
-		case errors.Is(err, ErrCallFailed):
-			// Not retry-safe, but the domain died under us: recover in
-			// the background so the next call finds a live binding.
-			go func() { _ = s.rebind(context.Background(), b) }()
-			return res, err
-		default:
-			return res, err
-		}
-		if err := s.rebind(ctx, b); err != nil {
+		if err := s.rebind(ctx, tb); err != nil {
 			return nil, err
 		}
 	}
 	return nil, lastErr
 }
 
-// rebind replaces a stale binding, single-flight: one caller runs the
-// import loop, concurrent callers wait on its outcome.
-func (s *Supervisor) rebind(ctx context.Context, stale *Binding) error {
+// sole reports whether tb is live and the supervisor's only target: it
+// came from no registry endpoint, so a rebind could only reach the same
+// server again. A call that fails on it is returned as is: there is
+// nothing to replay onto and nothing to recover.
+func (tb *TransparentBinding) sole() bool {
+	return tb.ep == (Endpoint{}) && !tb.dead()
+}
+
+// replaySafe is the supervisor's at-most-once rule (§5.3): whether a call
+// that failed with err may be sent again. It may when the call provably
+// never ran — refused before dispatch, never sent, vouched not executed
+// by the server, or a chain whose head stage never ran — and, when the
+// caller declared the interface idempotent (retryFailed), when its
+// handler failed. A timeout or a connection lost after the write never
+// qualifies: the server may have executed the call.
+func replaySafe(err error, retryFailed bool) bool {
+	var ce *ChainError
+	if errors.As(err, &ce) {
+		return ce.Executed == 0
+	}
+	return errors.Is(err, ErrRevoked) || // binding revoked before dispatch
+		errors.Is(err, ErrNotExported) || // name unknown at this endpoint
+		errors.Is(err, ErrOverload) || // shed by admission control
+		errors.Is(err, ErrNoAStacks) || // rejected before activation
+		errors.Is(err, ErrNotSent) || // no byte reached the wire
+		errors.Is(err, ErrNotExecuted) || // server vouched non-execution
+		errors.Is(err, ErrBreakerOpen) || // failed fast, nothing sent
+		errors.Is(err, ErrShmUnsupported) || // plane missing, nothing sent
+		retryFailed && errors.Is(err, ErrCallFailed)
+}
+
+// rebind replaces a stale binding, single-flight: the first caller
+// starts a recovery round, and every caller — that one included — waits
+// for it under its own context, so no caller is held past its deadline
+// or Close, and no lock is held across a resolve or a backoff.
+func (s *Supervisor) rebind(ctx context.Context, stale *TransparentBinding) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		return ErrSupervisorClosed
 	}
-	if cur := s.cur.Load(); cur != nil && cur != stale && !cur.Revoked() {
+	if cur := s.cur.Load(); cur != stale && !cur.dead() {
 		s.mu.Unlock()
 		return nil // another caller already recovered
 	}
-	if s.rebinding {
-		done := s.rebindDone
-		s.mu.Unlock()
-		select {
-		case <-done:
-		case <-ctx.Done():
-			return timeoutError(ctx.Err())
-		case <-s.closeCh:
-			return ErrSupervisorClosed
-		}
-		s.mu.Lock()
-		err := s.rebindErr
-		cur := s.cur.Load()
-		s.mu.Unlock()
-		if cur != nil && !cur.Revoked() {
-			return nil
-		}
-		if err == nil {
-			err = ErrRevoked
-		}
-		return err
-	}
-	s.rebinding = true
-	s.rebindDone = make(chan struct{})
 	done := s.rebindDone
+	if done == nil {
+		done = make(chan struct{})
+		s.rebindDone = done
+		go func() {
+			err := s.bind(stale, s.opts.RebindAttempts)
+			s.mu.Lock()
+			s.rebindDone, s.rebindErr = nil, err
+			s.mu.Unlock()
+			close(done)
+		}()
+	}
 	s.mu.Unlock()
-
-	err := s.runRebind(ctx)
+	select {
+	case <-done:
+	case <-ctx.Done():
+		return timeoutError(ctx.Err())
+	case <-s.closeCh:
+		return ErrSupervisorClosed
+	}
 	s.mu.Lock()
-	s.rebinding = false
-	s.rebindErr = err
+	err := s.rebindErr
 	s.mu.Unlock()
-	close(done)
-	return err
+	return err // after Close the caller's next pass finds no binding
 }
 
-// runRebind is one recovery round: importFn under capped exponential
-// backoff until it yields a live binding or the attempt budget is spent.
-func (s *Supervisor) runRebind(ctx context.Context) error {
+// bind is one recovery round: up to attempts resolver runs under capped
+// exponential backoff, until one yields a binding or the supervisor
+// closes. A failed first bind returns the resolver's last error; a
+// failed rebind wraps it in ErrRevoked, the binding it replaces being
+// dead.
+func (s *Supervisor) bind(stale *TransparentBinding, attempts int) error {
 	backoff := s.opts.RebindBackoffInitial
 	var lastErr error
-	for attempt := 0; attempt < s.opts.RebindAttempts; attempt++ {
-		b, err := s.importFn()
-		if err == nil && b != nil && b.Revoked() {
-			// Import raced a termination and handed back an
-			// already-revoked binding; treat it as a miss and retry.
-			err = ErrRevoked
+	for attempt := 0; attempt < attempts; attempt++ {
+		if attempt > 0 {
+			t := time.NewTimer(backoff)
+			select {
+			case <-t.C:
+			case <-s.closeCh:
+				t.Stop()
+				return ErrSupervisorClosed
+			}
+			backoff = min(2*backoff, s.opts.RebindBackoffMax)
 		}
-		if err == nil && b != nil {
-			s.cur.Store(b)
-			s.rebinds.Add(1)
-			b.sys.emitTrace(TraceRebind, b.exp.iface.Name, "", nil)
-			return nil
-		}
+		s.resolves.Add(1)
+		tb, err := s.resolve(stale)
 		if err == nil {
-			err = ErrNotExported
+			return s.install(tb)
 		}
 		lastErr = err
-		t := time.NewTimer(backoff)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-			t.Stop()
-			return timeoutError(ctx.Err())
-		case <-s.closeCh:
-			t.Stop()
-			return ErrSupervisorClosed
-		}
-		backoff *= 2
-		if backoff > s.opts.RebindBackoffMax {
-			backoff = s.opts.RebindBackoffMax
-		}
 	}
-	return fmt.Errorf("%w: supervisor rebind failed after %d attempts: %v",
-		ErrRevoked, s.opts.RebindAttempts, lastErr)
+	if stale == nil {
+		return lastErr
+	}
+	return fmt.Errorf("%w: no binding after %d attempts: %w", ErrRevoked, attempts, lastErr)
 }
 
-// background is the supervisor's prober/reaper loop.
-func (s *Supervisor) background() {
-	var probeC, reapC <-chan time.Time
-	if s.opts.ProbeInterval > 0 {
-		t := time.NewTicker(s.opts.ProbeInterval)
-		defer t.Stop()
-		probeC = t.C
+// install publishes a fresh binding, releasing the one it replaces and
+// accounting the rebind (and failover, when the endpoint changed).
+func (s *Supervisor) install(tb *TransparentBinding) error {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		_ = tb.Close() // nobody will call through it
+		return ErrSupervisorClosed
 	}
-	if s.opts.ReapInterval > 0 {
-		t := time.NewTicker(s.opts.ReapInterval)
-		defer t.Stop()
-		reapC = t.C
+	old := s.cur.Swap(tb)
+	s.mu.Unlock()
+	if old == nil {
+		return nil // the first bind
 	}
+	_ = old.Close() // its transport is dead or condemned
+	s.rebinds.Add(1)
+	s.emit(TraceRebind, tb)
+	if old.ep != tb.ep {
+		s.failovers.Add(1)
+		s.emit(TraceFailover, tb)
+	}
+	return nil
+}
+
+// emit reports a recovery event to the SuperviseReplicated tracer when
+// one is set, else to an in-process binding's System.
+func (s *Supervisor) emit(kind TraceKind, tb *TransparentBinding) {
+	switch {
+	case s.tracer != nil:
+		s.tracer.TraceEvent(TraceEvent{Kind: kind, Iface: s.name, Proc: tb.ep.String()})
+	case tb.local != nil:
+		tb.local.sys.emitTrace(kind, tb.local.exp.iface.Name, "", nil)
+	}
+}
+
+// probe is the background health check: a dead binding is rebound ahead
+// of the next call, and an in-process one has its System's orphans
+// reaped.
+func (s *Supervisor) probe() {
+	t := time.NewTicker(s.opts.ProbeInterval)
+	defer t.Stop()
 	for {
 		select {
 		case <-s.closeCh:
 			return
-		case <-probeC:
-			if b := s.cur.Load(); b == nil || b.Revoked() {
-				_ = s.rebind(context.Background(), b)
-			}
-		case <-reapC:
-			s.sys.ReapOrphans()
+		case <-t.C:
 		}
+		tb := s.cur.Load()
+		if tb.dead() {
+			_ = s.rebind(context.Background(), tb)
+		}
+		if tb != nil && tb.local != nil {
+			tb.local.sys.ReapOrphans()
+		}
+	}
+}
+
+// dead reports whether tb can never carry a call again: nil (the
+// supervisor closed), condemned by a call's error, a revoked in-process
+// binding, or a shm session or TCP client that died or was closed.
+func (tb *TransparentBinding) dead() bool {
+	switch {
+	case tb == nil || tb.condemned.Load():
+		return true
+	case tb.local != nil:
+		return tb.local.Revoked()
+	case tb.shm != nil:
+		return tb.shm.gone()
+	}
+	select {
+	case <-tb.remote.closedCh:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -714,8 +822,8 @@ func (s *System) addOrphan(act *activation, e *Export, proc string) {
 // ReapOrphans sweeps the orphan registry: activations whose handlers
 // have since returned are reaped (their A-stacks were reclaimed by the
 // activation itself; the reap closes the books and emits TraceReap),
-// the rest are reported as live. Supervisors run this on a timer;
-// callers may invoke it directly.
+// the rest are reported as live. A Supervisor over an in-process
+// binding runs this on its probe tick; callers may invoke it directly.
 func (s *System) ReapOrphans() (reaped, live int) {
 	var done []orphanRec
 	s.orphanMu.Lock()

@@ -10,7 +10,10 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -339,7 +342,7 @@ func TestSupervisorRebindAcrossTerminate(t *testing.T) {
 	sys.SetTracer(log)
 
 	sup, err := Supervise(func() (*Binding, error) { return sys.Import("Svc") },
-		SupervisorOpts{ProbeInterval: -1, ReapInterval: -1})
+		SupervisorOpts{ProbeInterval: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,13 +366,13 @@ func TestSupervisorRebindAcrossTerminate(t *testing.T) {
 	if err != nil || binary.LittleEndian.Uint32(res) != 42 {
 		t.Fatalf("call across terminate: %v, res=%v", err, res)
 	}
-	if sup.Rebinds() == 0 {
+	if sup.Stats().Rebinds == 0 {
 		t.Error("supervisor recovered without recording a rebind")
 	}
 	if log.Count(TraceRebind) == 0 {
 		t.Error("no TraceRebind event emitted")
 	}
-	if sup.Binding().Revoked() {
+	if sup.Binding().local.Revoked() {
 		t.Error("current binding is revoked after recovery")
 	}
 
@@ -394,7 +397,6 @@ func TestSupervisorRebindGivesUp(t *testing.T) {
 			RebindBackoffInitial: time.Microsecond,
 			RebindBackoffMax:     time.Microsecond,
 			ProbeInterval:        -1,
-			ReapInterval:         -1,
 		})
 	if err != nil {
 		t.Fatal(err)
@@ -403,6 +405,144 @@ func TestSupervisorRebindGivesUp(t *testing.T) {
 	e.Terminate() // nobody re-exports: rebind must exhaust its budget
 	if _, err := sup.Call(0, nil); !errors.Is(err, ErrRevoked) {
 		t.Fatalf("call with no successor: got %v, want ErrRevoked", err)
+	}
+}
+
+// TestSuperviseFirstBindFailsFast: the constructor tries the first
+// import once and returns its error as is — no backoff round, no
+// ErrRevoked wrap for a binding that never existed.
+func TestSuperviseFirstBindFailsFast(t *testing.T) {
+	imports := 0
+	_, err := Supervise(func() (*Binding, error) { imports++; return nil, ErrNotExported }, SupervisorOpts{})
+	if !errors.Is(err, ErrNotExported) || errors.Is(err, ErrRevoked) {
+		t.Fatalf("first bind = %v, want ErrNotExported alone", err)
+	}
+	if imports != 1 {
+		t.Fatalf("first bind ran the import %d times, want 1", imports)
+	}
+}
+
+// TestReplaySafe pins the supervisor's one at-most-once rule: a call is
+// replayed only when it provably never ran, or when it failed in its
+// handler and the caller declared the interface idempotent.
+func TestReplaySafe(t *testing.T) {
+	cases := []struct {
+		name string
+		err  error
+		want bool // without RetryFailedCalls; with it only ErrCallFailed flips
+	}{
+		{"revoked", ErrRevoked, true},
+		{"not sent", notSent(ErrConnClosed), true},
+		{"not executed", &RemoteError{Msg: "lrpc: revoked", NotExecuted: true}, true},
+		{"overload", ErrOverload, true},
+		{"no astacks", ErrNoAStacks, true},
+		{"breaker open", ErrBreakerOpen, true},
+		{"call failed", fmt.Errorf("%w: shm peer died mid-call", ErrCallFailed), false},
+		{"written frame", ErrConnClosed, false},
+		{"timeout", timeoutError(context.DeadlineExceeded), false},
+		{"chain head never ran", &ChainError{Stage: 0, Executed: 0, Err: ErrOverload}, true},
+		{"chain stage 0 ran", &ChainError{Stage: 1, Executed: 1, Err: ErrRevoked}, false},
+	}
+	for _, tc := range cases {
+		for _, retryFailed := range []bool{false, true} {
+			want := tc.want || retryFailed && tc.name == "call failed"
+			if got := replaySafe(tc.err, retryFailed); got != want {
+				t.Errorf("%s (RetryFailedCalls=%v): replaySafe = %v, want %v", tc.name, retryFailed, got, want)
+			}
+		}
+	}
+}
+
+// TestSupervisorOverloadNotRebound: an in-process supervisor has no other
+// target, so a shed call returns ErrOverload at once — no rebind, no
+// replay against the same full export.
+func TestSupervisorOverloadNotRebound(t *testing.T) {
+	sys := NewSystem()
+	iface, gate := gatedInterface("Busy")
+	e, err := sys.Export(iface)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.SetAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 0})
+	sup, err := Supervise(func() (*Binding, error) { return sys.Import("Busy") },
+		SupervisorOpts{ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+
+	held := make(chan error, 1)
+	go func() {
+		_, err := sup.Call(0, nil)
+		held <- err
+	}()
+	for e.Active() == 0 {
+		time.Sleep(time.Millisecond)
+	}
+	start := time.Now()
+	_, err = sup.Call(0, nil)
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrOverload) {
+		t.Fatalf("call at the cap = %v, want ErrOverload", err)
+	}
+	if elapsed > 100*time.Millisecond {
+		t.Errorf("shed took %v, want an immediate return", elapsed)
+	}
+	if st := sup.Stats(); st.Rebinds != 0 || st.Resolves != 1 {
+		t.Errorf("shed call rebound the supervisor or ran its resolver: %+v", st)
+	}
+	if n := e.Sheds(); n != 1 {
+		t.Errorf("export shed %d calls, want 1 (no replay)", n)
+	}
+	close(gate)
+	if err := <-held; err != nil {
+		t.Fatalf("held call = %v", err)
+	}
+}
+
+// TestSupervisorRetryFailedCalls: a handler failure condemns the binding
+// even though its export lives on, so the supervisor re-imports; the
+// call is replayed only when the caller opted in.
+func TestSupervisorRetryFailedCalls(t *testing.T) {
+	for _, retry := range []bool{false, true} {
+		sys := NewSystem()
+		var calls int
+		if _, err := sys.Export(&Interface{Name: "Flaky", Procs: []Proc{{
+			Name: "P", AStackSize: 8,
+			Handler: func(c *Call) {
+				if calls++; calls == 1 {
+					panic("first call fails")
+				}
+				c.ResultsBuf(0)
+			},
+		}}}); err != nil {
+			t.Fatal(err)
+		}
+		sup, err := Supervise(func() (*Binding, error) { return sys.Import("Flaky") },
+			SupervisorOpts{ProbeInterval: -1, RetryFailedCalls: retry})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = sup.Call(0, nil)
+		if retry && err != nil {
+			t.Errorf("RetryFailedCalls: call = %v, want the replay to succeed", err)
+		}
+		if !retry && !errors.Is(err, ErrCallFailed) {
+			t.Errorf("call = %v, want ErrCallFailed returned, not replayed", err)
+		}
+		// Without the opt-in the rebind runs in the background; the next
+		// call joins it.
+		if _, err := sup.Call(0, nil); err != nil {
+			t.Errorf("RetryFailedCalls=%v: next call = %v", retry, err)
+		}
+		runs := 2 // the failed call, then the next one
+		if retry {
+			runs = 3 // the replay runs in between
+		}
+		if st := sup.Stats(); st.Rebinds != 1 || calls != runs {
+			t.Errorf("RetryFailedCalls=%v: %+v after %d handler runs, want 1 rebind and %d runs", retry, st, calls, runs)
+		}
+		sup.Close()
 	}
 }
 
@@ -509,5 +649,74 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached within 5s")
 		}
 		time.Sleep(200 * time.Microsecond)
+	}
+}
+
+// TestSupervisorShedRacingRevoke drives load shedding and domain
+// termination together: callers are shed at the admission cap while the
+// export is terminated and re-exported under them. A call either returns
+// the handler's result or an error — never a nil result with a nil error
+// for a call no handler ran.
+func TestSupervisorShedRacingRevoke(t *testing.T) {
+	sys := NewSystem()
+	export := func() *Export {
+		e, err := sys.Export(&Interface{Name: "Shed", Procs: []Proc{{
+			Name: "P", AStackSize: 8, NumAStacks: 2,
+			Handler: func(c *Call) { time.Sleep(20 * time.Microsecond); c.ResultsBuf(1)[0] = 7 },
+		}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.SetAdmission(AdmissionConfig{MaxConcurrent: 1, MaxQueue: 0})
+		return e
+	}
+	cur := export()
+	sup, err := Supervise(func() (*Binding, error) { return sys.Import("Shed") }, SupervisorOpts{
+		RebindBackoffInitial: time.Microsecond,
+		RebindBackoffMax:     50 * time.Microsecond,
+		ProbeInterval:        -1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var empty, ok atomic.Int64
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := sup.Call(0, nil)
+				switch {
+				case err == nil && len(res) == 1 && res[0] == 7:
+					ok.Add(1)
+				case err == nil:
+					empty.Add(1)
+				default:
+					runtime.Gosched() // a shed returns at once; let the terminator run
+				}
+			}
+		}()
+	}
+	for range 200 {
+		time.Sleep(200 * time.Microsecond)
+		cur.Terminate()
+		cur = export()
+	}
+	close(stop)
+	wg.Wait()
+	if n := empty.Load(); n != 0 {
+		t.Fatalf("%d calls returned a nil result with a nil error (%d real results)", n, ok.Load())
+	}
+	if ok.Load() == 0 {
+		t.Fatal("no call succeeded")
 	}
 }

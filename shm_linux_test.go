@@ -329,8 +329,136 @@ func TestShmSupervisorRecovers(t *testing.T) {
 	if _, err := sup.Call(1, nil); err != nil {
 		t.Fatalf("supervised call after server replacement = %v", err)
 	}
-	if sup.Rebinds() == 0 {
+	if sup.Stats().Rebinds == 0 {
 		t.Fatal("supervisor recovered without recording a rebind")
+	}
+}
+
+// TestShmSuperviseRebindsAfterExportTerminate: a terminated export on a
+// live server answers ErrRevoked over a live session; the supervisor
+// re-dials and binds the successor export.
+func TestShmSuperviseRebindsAfterExportTerminate(t *testing.T) {
+	iface := shmTestIface("Shm", nil)
+	_, sock, exp := startShm(t, iface, ShmServeOptions{})
+	sup, err := SuperviseShm(func() (*ShmClient, error) { return DialShm(sock, "Shm") },
+		SupervisorOpts{ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	exp.Terminate()
+	if _, err := exp.sys.Export(iface); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sup.Call(1, nil); err != nil {
+		t.Fatalf("call after export terminate = %v", err)
+	}
+	if st := sup.Stats(); st.Rebinds != 1 {
+		t.Fatalf("want 1 rebind, got %+v", st)
+	}
+}
+
+// restartShm brings up a successor server for iface on sock, the path a
+// killed server listened on.
+func restartShm(t *testing.T, iface *Interface, sock string) {
+	t.Helper()
+	sys := NewSystem()
+	if _, err := sys.Export(iface); err != nil {
+		t.Fatal(err)
+	}
+	l, err := ListenShm(sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sv := NewShmServer(sys, ShmServeOptions{})
+	go sv.Serve(l)
+	t.Cleanup(func() { sv.Close() })
+}
+
+// TestShmSuperviseProbeRecovers: with the prober on, a supervisor whose
+// server died rebinds to the successor before any call is made.
+func TestShmSuperviseProbeRecovers(t *testing.T) {
+	const probe = 5 * time.Millisecond
+	iface := shmTestIface("Shm", nil)
+	sv1, sock, _ := startShm(t, iface, ShmServeOptions{})
+	sup, err := SuperviseShm(func() (*ShmClient, error) { return DialShm(sock, "Shm") },
+		SupervisorOpts{ProbeInterval: probe})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sup.Close()
+	sv1.Close()
+	restartShm(t, iface, sock)
+	shmWaitFor(t, 20*probe, func() bool { return sup.Stats().Rebinds > 0 },
+		func() string { return fmt.Sprintf("%+v", sup.Stats()) })
+	if _, err := sup.Call(1, nil); err != nil {
+		t.Fatalf("call after probed recovery = %v", err)
+	}
+}
+
+// superviseDeadShm returns a supervisor, prober off, whose server has
+// been closed and whose session the client has seen die: every rebind
+// now dials a socket nobody serves.
+func superviseDeadShm(t *testing.T) *Supervisor {
+	t.Helper()
+	sv, sock, _ := startShm(t, shmTestIface("Shm", nil), ShmServeOptions{})
+	sup, err := SuperviseShm(func() (*ShmClient, error) { return DialShm(sock, "Shm") },
+		SupervisorOpts{ProbeInterval: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { sup.Close() })
+	if _, err := sup.Call(1, nil); err != nil {
+		t.Fatal(err)
+	}
+	sv.Close()
+	shmWaitFor(t, time.Second, func() bool { return sup.Binding().Shm().gone() },
+		func() string { return "session still live after server close" })
+	return sup
+}
+
+// TestShmSuperviseRebindHonorsDeadline: a caller waiting on the rebind
+// of a dead server leaves at its own deadline with ErrCallTimeout, not
+// after the rebind budget.
+func TestShmSuperviseRebindHonorsDeadline(t *testing.T) {
+	sup := superviseDeadShm(t)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := sup.CallContext(ctx, 1, nil)
+	elapsed := time.Since(start)
+	if !errors.Is(err, ErrCallTimeout) {
+		t.Fatalf("call with a 20ms deadline = %v, want ErrCallTimeout", err)
+	}
+	if elapsed > 250*time.Millisecond {
+		t.Fatalf("call with a 20ms deadline took %v", elapsed)
+	}
+}
+
+// TestShmSuperviseCloseDuringRebind: Close does not wait out a rebind in
+// flight, and the caller waiting on it gets ErrSupervisorClosed.
+func TestShmSuperviseCloseDuringRebind(t *testing.T) {
+	sup := superviseDeadShm(t)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := sup.Call(1, nil)
+		errc <- err
+	}()
+	// Past the first bind, a resolve is a redial: the caller is mid-rebind.
+	shmWaitFor(t, time.Second, func() bool { return sup.Stats().Resolves > 1 },
+		func() string { return fmt.Sprintf("%+v", sup.Stats()) })
+	start := time.Now()
+	sup.Close()
+	if elapsed := time.Since(start); elapsed > 250*time.Millisecond {
+		t.Fatalf("Close during a rebind took %v", elapsed)
+	}
+	select {
+	case err := <-errc:
+		if !errors.Is(err, ErrSupervisorClosed) {
+			t.Fatalf("caller mid-rebind got %v, want ErrSupervisorClosed", err)
+		}
+	case <-time.After(250 * time.Millisecond):
+		t.Fatal("caller mid-rebind still blocked after Close")
 	}
 }
 
